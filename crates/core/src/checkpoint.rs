@@ -25,9 +25,9 @@
 
 use crate::error::CoreError;
 use crate::pipeline::FcnnPipeline;
-use fv_field::checksum::crc32;
 use fv_field::FieldError;
-use fv_nn::serialize::write_file_atomic;
+use fv_runtime::checksum::crc32;
+use fv_runtime::fs::write_file_atomic;
 use std::io::Read;
 use std::path::{Path, PathBuf};
 
@@ -72,7 +72,7 @@ impl CheckpointStore {
         // Interrupted atomic saves leave `*.tmp` debris (the real file was
         // never renamed); sweep it before indexing, via the shared helper
         // every crash-safe store in the workspace uses.
-        fv_field::io::sweep_tmp_files(&dir).map_err(io_err)?;
+        fv_runtime::fs::sweep_tmp_files(&dir).map_err(io_err)?;
         let mut generations = Vec::new();
         for entry in std::fs::read_dir(&dir).map_err(io_err)? {
             let entry = entry.map_err(io_err)?;
@@ -137,7 +137,7 @@ impl CheckpointStore {
             if let Some(e) = fv_runtime::chaos::io_error("ckpt.save") {
                 return Err(io_err(e));
             }
-            write_file_atomic(self.path_for(gen), |w| {
+            write_file_atomic(self.path_for(gen), |w| -> Result<(), fv_nn::NnError> {
                 use std::io::Write;
                 w.write_all(MAGIC)?;
                 w.write_all(&(payload.len() as u64).to_le_bytes())?;

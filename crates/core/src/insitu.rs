@@ -57,6 +57,9 @@
 //!   ([`CheckpointStore::save_with_retry`]), and a save that still fails
 //!   degrades the step instead of failing it.
 
+pub use crate::breaker::BreakerState;
+
+use crate::breaker::Breaker;
 use crate::checkpoint::CheckpointStore;
 use crate::error::CoreError;
 use crate::metrics::snr_db_masked;
@@ -108,18 +111,6 @@ impl FallbackKind {
             FallbackKind::Nearest => Box::new(NearestReconstructor),
         }
     }
-}
-
-/// Circuit-breaker position, reported per step.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BreakerState {
-    /// Normal operation: the model path runs every step.
-    Closed,
-    /// Too many consecutive failures: the model path is skipped and steps
-    /// are answered by the classical fallback.
-    Open,
-    /// Recovery probe: one model-path attempt while otherwise open.
-    HalfOpen,
 }
 
 /// Supervision knobs: per-step time budget, circuit breaker, and I/O
@@ -260,23 +251,24 @@ pub struct InSituSession {
     best_probe_loss: f32,
     step: usize,
     checkpoints: Option<CheckpointStore>,
-    breaker_open: bool,
-    breaker_failures: usize,
-    steps_until_probe: usize,
+    breaker: Breaker,
 }
 
 impl InSituSession {
     /// Start a session from a pretrained pipeline.
     pub fn new(pipeline: FcnnPipeline, config: InSituConfig) -> Self {
+        let saturate = |n: usize| u32::try_from(n).unwrap_or(u32::MAX);
+        let breaker = Breaker::new(
+            saturate(config.supervision.breaker_threshold),
+            saturate(config.supervision.breaker_probe_interval),
+        );
         Self {
             pipeline,
             config,
             best_probe_loss: f32::INFINITY,
             step: 0,
             checkpoints: None,
-            breaker_open: false,
-            breaker_failures: 0,
-            steps_until_probe: 0,
+            breaker,
         }
     }
 
@@ -314,13 +306,7 @@ impl InSituSession {
 
     /// Breaker position the *next* step will start from.
     pub fn breaker(&self) -> BreakerState {
-        if !self.breaker_open {
-            BreakerState::Closed
-        } else if self.steps_until_probe == 0 {
-            BreakerState::HalfOpen
-        } else {
-            BreakerState::Open
-        }
+        self.breaker.state()
     }
 
     /// Ingest one timestep: sample it, decide whether to fine-tune,
@@ -393,11 +379,8 @@ impl InSituSession {
         // Breaker gate. While open, skip the model entirely (the cheap
         // classical path answers); every `breaker_probe_interval`-th open
         // step runs one half-open probe.
-        let entry_state = self.breaker();
-        let attempt_model = entry_state != BreakerState::Open;
-        if entry_state == BreakerState::Open {
-            self.steps_until_probe -= 1;
-        }
+        let entry_state = self.breaker.state();
+        let attempt_model = self.breaker.allow();
         if entry_state == BreakerState::HalfOpen {
             TM_BREAKER_PROBES.incr();
         }
@@ -441,24 +424,20 @@ impl InSituSession {
             attempt_model && matches!(ctx.stop_reason(), Some(StopReason::DeadlineExceeded));
 
         // Breaker bookkeeping: a failed attempt counts toward opening (or
-        // re-opens a half-open probe); a clean attempt closes it.
+        // re-opens a half-open probe, which counts as an open too); a
+        // clean attempt closes it.
         let attempt_failed = attempt_model && (outcome.is_none() || deadline_missed);
         if attempt_model {
             if attempt_failed {
-                self.breaker_failures += 1;
-                if entry_state == BreakerState::HalfOpen
-                    || self.breaker_failures >= self.config.supervision.breaker_threshold
-                {
+                self.breaker.record_failure();
+                if self.breaker.state() != BreakerState::Closed {
                     TM_BREAKER_OPENS.incr();
-                    self.breaker_open = true;
-                    self.steps_until_probe = self.config.supervision.breaker_probe_interval;
                 }
             } else {
-                if self.breaker_open {
+                if entry_state == BreakerState::HalfOpen {
                     TM_BREAKER_CLOSES.incr();
                 }
-                self.breaker_open = false;
-                self.breaker_failures = 0;
+                self.breaker.record_success();
             }
         }
 
@@ -716,6 +695,13 @@ mod tests {
     use fv_sims::{Hurricane, Simulation};
 
     fn session(drift: Option<f32>) -> (Hurricane, InSituSession) {
+        session_with(drift, SupervisionConfig::default())
+    }
+
+    fn session_with(
+        drift: Option<f32>,
+        supervision: SupervisionConfig,
+    ) -> (Hurricane, InSituSession) {
         let sim = Hurricane::builder().resolution([14, 14, 6]).timesteps(10).build();
         let mut cfg = PipelineConfig::small_for_tests();
         cfg.trainer.epochs = 8;
@@ -730,6 +716,7 @@ mod tests {
                     ..FineTuneSpec::case1()
                 },
                 probe_rows: 256,
+                supervision,
                 ..Default::default()
             },
         );
@@ -824,9 +811,14 @@ mod tests {
         use fv_runtime::chaos::{self, FaultPlan};
         let _serial = crate::CHAOS_TEST_LOCK.lock().unwrap();
         chaos::silence_chaos_panics();
-        let (sim, mut session) = session(None);
-        session.config.supervision.breaker_threshold = 2;
-        session.config.supervision.breaker_probe_interval = 2;
+        let (sim, mut session) = session_with(
+            None,
+            SupervisionConfig {
+                breaker_threshold: 2,
+                breaker_probe_interval: 2,
+                ..SupervisionConfig::default()
+            },
+        );
         // First three model attempts panic, then the site heals.
         let _guard = chaos::install(FaultPlan::new(1).panic_first("insitu.step", 3));
         let field = sim.timestep(0);
@@ -857,6 +849,72 @@ mod tests {
         assert_eq!(reports[7].breaker, BreakerState::Closed);
         assert!(reports[7].fine_tuned);
         assert!(reports[7].probe_loss.is_finite());
+    }
+
+    /// Per-step breaker positions and the `insitu.breaker_*` counter
+    /// deltas over eight steps whose first `failing` model attempts miss
+    /// a zero step deadline (a per-session fault, so no global chaos plan
+    /// can bleed into concurrently running tests).
+    fn breaker_trace(
+        threshold: usize,
+        probe_interval: usize,
+        failing: usize,
+    ) -> (Vec<BreakerState>, [u64; 3]) {
+        let counters = || {
+            let snap = telemetry::snapshot();
+            ["opens", "probes", "closes"].map(|c| {
+                let name = format!("insitu.breaker_{c}");
+                let counter = snap.counters.iter().find(|s| s.name == name);
+                counter.map_or(0, |s| s.value)
+            })
+        };
+        let (sim, mut session) = session_with(
+            None,
+            SupervisionConfig {
+                breaker_threshold: threshold,
+                breaker_probe_interval: probe_interval,
+                ..SupervisionConfig::default()
+            },
+        );
+        let field = sim.timestep(0);
+        let before = counters();
+        let mut attempts = 0;
+        let mut states = Vec::new();
+        for _ in 0..8 {
+            let attempt = session.breaker() != BreakerState::Open;
+            let fail = attempt && attempts < failing;
+            attempts += usize::from(attempt);
+            session.config.supervision.step_deadline = fail.then_some(Duration::ZERO);
+            let report = session.step(&field).unwrap().2;
+            assert_eq!(report.deadline_missed, fail);
+            states.push(report.breaker);
+        }
+        let after = counters();
+        (states, [0, 1, 2].map(|i| after[i] - before[i]))
+    }
+
+    #[test]
+    fn breaker_transition_sequences_are_pinned() {
+        use BreakerState::{Closed, HalfOpen, Open};
+        let _serial = crate::CHAOS_TEST_LOCK.lock().unwrap();
+        telemetry::set_enabled(true);
+        // Threshold 2, probe every 2nd open step; attempts 1-3 fail.
+        let (states, [opens, probes, closes]) = breaker_trace(2, 2, 3);
+        assert_eq!(
+            states,
+            [Closed, Open, Open, HalfOpen, Open, Open, HalfOpen, Closed]
+        );
+        // A failed half-open probe counts as an open.
+        assert_eq!((opens, probes, closes), (2, 2, 1));
+        // Threshold 3, interval 0: the step after an open is already a
+        // probe; attempts 1-4 fail.
+        let (states, [opens, probes, closes]) = breaker_trace(3, 0, 4);
+        assert_eq!(
+            states,
+            [Closed, Closed, HalfOpen, HalfOpen, Closed, Closed, Closed, Closed]
+        );
+        assert_eq!((opens, probes, closes), (2, 2, 1));
+        telemetry::set_enabled(false);
     }
 
     #[test]

@@ -19,11 +19,13 @@
 //!    arbitrarily-sampled cloud, at any resolution, in one batched forward
 //!    pass.
 //!
-//! Supporting modules: [`metrics`] (SNR as defined in Sec. IV), [`timesteps`]
+//! Supporting modules: [`metrics`] (SNR as defined in Sec. IV), [`breaker`]
+//! (the circuit breaker shared by [`insitu`] and `fv-serve`), [`timesteps`]
 //! (Experiment 2 workflows with Case 1/Case 2 fine-tuning), [`upscale`]
-//! (Experiment 3), [`experiment`] (sweep harnesses shared by the bench
-//! binaries) and [`render`] (qualitative slice dumps, Figs. 2–3).
+//! (Experiment 3), [`experiment`] (sweep harnesses shared by the `exp`
+//! driver) and [`render`] (qualitative slice dumps, Figs. 2–3).
 
+pub mod breaker;
 pub mod brick;
 pub mod checkpoint;
 pub mod error;

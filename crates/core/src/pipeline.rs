@@ -571,7 +571,7 @@ impl FcnnPipeline {
     pub fn save(&self, path: impl AsRef<Path>) -> Result<(), CoreError> {
         let mut payload = Vec::new();
         self.write_to(&mut payload)?;
-        fv_nn::serialize::write_file_atomic(path, |w| {
+        fv_runtime::fs::write_file_atomic(path, |w| -> Result<(), fv_nn::NnError> {
             use std::io::Write;
             w.write_all(&payload)?;
             Ok(())

@@ -1,8 +1,9 @@
 //! Machine-readable experiment output.
 //!
-//! The bench binaries print aligned text tables for humans; this module
+//! The `exp` driver prints aligned text tables for humans; this module
 //! writes the same rows as CSV so the paper's plots can be regenerated
-//! with any external plotting tool (`exp_* --csv` flows through here).
+//! with any external plotting tool (`exp --csv FILE fig09|fig11` flows
+//! through here).
 
 use crate::experiment::{DepthRow, MethodRow, VariantSeries};
 use crate::timesteps::ReplayRow;

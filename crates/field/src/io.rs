@@ -22,10 +22,11 @@
 //! atomically renames over the destination, so a node failure mid-write
 //! leaves either the old file or the new one — never a torn hybrid.
 
-use crate::checksum::Crc32;
 use crate::error::FieldError;
 use crate::grid::Grid3;
 use crate::volume::ScalarField;
+use fv_runtime::checksum::Crc32;
+use fv_runtime::fs::write_file_atomic;
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::path::Path;
 
@@ -38,9 +39,6 @@ pub const MAX_POINTS: usize = 1 << 31;
 
 /// Geometry bytes in the payload: 3×u64 dims + 3×f64 origin + 3×f64 spacing.
 const GEOMETRY_BYTES: u64 = 72;
-
-/// Suffix used by in-flight atomic writes (leftovers are safe to delete).
-pub const TMP_SUFFIX: &str = ".tmp";
 
 /// Write a field in the verified v2 binary format.
 pub fn write_bin<W: Write>(field: &ScalarField, mut w: W) -> Result<(), FieldError> {
@@ -227,74 +225,6 @@ fn read_values<R: Read>(
     Ok(data)
 }
 
-/// Drop guard that deletes an in-flight atomic-write temp file unless the
-/// write was disarmed after a successful rename. Unlike an `is_err()`
-/// check on the result, a guard also fires when the write closure
-/// *panics* (e.g. a chaos-injected fault), so no path out of
-/// [`write_file_atomic`] can leak a `*.tmp`.
-struct TmpGuard<'a> {
-    path: &'a Path,
-    armed: bool,
-}
-
-impl Drop for TmpGuard<'_> {
-    fn drop(&mut self) {
-        if self.armed {
-            std::fs::remove_file(self.path).ok();
-        }
-    }
-}
-
-/// Remove stale atomic-write leftovers (`*.tmp` files) from `dir`.
-///
-/// Temp files are only ever transient: a live writer renames its temp away
-/// within one call, so anything still carrying [`TMP_SUFFIX`] when a store
-/// *opens* its directory is debris from a crashed process. Returns the
-/// number of files removed. Regular files only; never touches anything
-/// without the suffix.
-pub fn sweep_tmp_files(dir: impl AsRef<Path>) -> std::io::Result<usize> {
-    let mut removed = 0;
-    for entry in std::fs::read_dir(dir)? {
-        let entry = entry?;
-        let is_tmp = entry.file_name().to_string_lossy().ends_with(TMP_SUFFIX);
-        let is_file = entry.file_type().map(|t| t.is_file()).unwrap_or(false);
-        if is_tmp && is_file && std::fs::remove_file(entry.path()).is_ok() {
-            removed += 1;
-        }
-    }
-    Ok(removed)
-}
-
-/// Crash-safe file write: the content goes to a sibling temp file which is
-/// flushed, fsynced and atomically renamed over `path`. Interrupted writes
-/// leave only a `*.tmp` leftover, never a torn destination file; on any
-/// error — or a panic inside `write` — the temp file is removed before
-/// returning, so only a hard process death can leave one (swept by
-/// [`sweep_tmp_files`] on the next open).
-pub fn write_file_atomic<F>(path: impl AsRef<Path>, write: F) -> Result<(), FieldError>
-where
-    F: FnOnce(&mut BufWriter<std::fs::File>) -> Result<(), FieldError>,
-{
-    let path = path.as_ref();
-    let file_name = path
-        .file_name()
-        .ok_or_else(|| FieldError::Format(format!("path {path:?} has no file name")))?;
-    let mut tmp_name = file_name.to_os_string();
-    tmp_name.push(format!(".{}{TMP_SUFFIX}", std::process::id()));
-    let tmp = path.with_file_name(tmp_name);
-    let mut guard = TmpGuard {
-        path: &tmp,
-        armed: true,
-    };
-    let mut w = BufWriter::new(std::fs::File::create(&tmp)?);
-    write(&mut w)?;
-    w.flush()?;
-    w.get_ref().sync_all()?;
-    std::fs::rename(&tmp, path)?;
-    guard.armed = false;
-    Ok(())
-}
-
 /// Write a field to a file in the compact binary format, crash-safely.
 pub fn save(field: &ScalarField, path: impl AsRef<Path>) -> Result<(), FieldError> {
     if let Some(e) = fv_runtime::chaos::io_error("field.save") {
@@ -466,7 +396,7 @@ mod tests {
         assert_eq!(payload_len as usize, 72 + 4 * f.len());
         assert_eq!(buf.len(), 12 + payload_len as usize + 4);
         let stored = u32::from_le_bytes(buf[buf.len() - 4..].try_into().unwrap());
-        assert_eq!(stored, crate::checksum::crc32(&buf[12..buf.len() - 4]));
+        assert_eq!(stored, fv_runtime::checksum::crc32(&buf[12..buf.len() - 4]));
     }
 
     #[test]
@@ -548,55 +478,9 @@ mod tests {
         let leftovers: Vec<_> = std::fs::read_dir(&dir)
             .unwrap()
             .filter_map(|e| e.ok())
-            .filter(|e| e.file_name().to_string_lossy().ends_with(TMP_SUFFIX))
+            .filter(|e| e.file_name().to_string_lossy().ends_with(fv_runtime::fs::TMP_SUFFIX))
             .collect();
         assert!(leftovers.is_empty(), "temp files left behind: {leftovers:?}");
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn panicking_write_closure_leaves_no_temp_file() {
-        let dir = std::env::temp_dir().join(format!("fvf_panic_tmp_{}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("field.fvf");
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            write_file_atomic(&path, |_w| -> Result<(), FieldError> {
-                panic!("injected mid-write fault");
-            })
-        }));
-        assert!(result.is_err(), "the panic must propagate");
-        let leftovers: Vec<_> = std::fs::read_dir(&dir)
-            .unwrap()
-            .filter_map(|e| e.ok())
-            .map(|e| e.file_name().to_string_lossy().into_owned())
-            .collect();
-        assert!(
-            leftovers.is_empty(),
-            "panic leaked files into the directory: {leftovers:?}"
-        );
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn sweep_removes_stale_tmp_without_touching_valid_files() {
-        let dir = std::env::temp_dir().join(format!("fvf_sweep_{}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
-        std::fs::create_dir_all(&dir).unwrap();
-        let valid = dir.join("field.fvf");
-        let f = sample_field();
-        save(&f, &valid).unwrap();
-        let before = std::fs::read(&valid).unwrap();
-        std::fs::write(dir.join("field.fvf.1234.tmp"), b"torn half-write").unwrap();
-        std::fs::write(dir.join("other.tmp"), b"also stale").unwrap();
-        let removed = sweep_tmp_files(&dir).unwrap();
-        assert_eq!(removed, 2);
-        assert_eq!(
-            std::fs::read(&valid).unwrap(),
-            before,
-            "sweep must not touch valid files"
-        );
-        assert_eq!(sweep_tmp_files(&dir).unwrap(), 0, "idempotent");
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -27,7 +27,6 @@
 //! format the paper's pipeline reads and writes.
 
 pub mod brick;
-pub mod checksum;
 pub mod error;
 pub mod faults;
 pub mod gradient;

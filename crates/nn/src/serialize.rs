@@ -19,14 +19,16 @@
 //! bit-flipped checkpoint a typed [`NnError::Format`] at load time — the
 //! property the in-situ `CheckpointStore` relies on to fall back to an
 //! older generation. Version-1 files (no length, no CRC) remain readable.
-//! File saves go through [`write_file_atomic`] (temp + fsync + rename).
+//! File saves go through [`fv_runtime::fs::write_file_atomic`] (temp +
+//! fsync + rename).
 
 use crate::activation::Activation;
-use crate::checksum::Crc32;
 use crate::error::NnError;
 use crate::layer::Dense;
 use crate::mlp::Mlp;
 use fv_linalg::Matrix;
+use fv_runtime::checksum::Crc32;
+use fv_runtime::fs::write_file_atomic;
 use std::io::{BufReader, BufWriter, Read, Write};
 use std::path::Path;
 
@@ -148,7 +150,7 @@ fn read_layers<R: Read>(r: R) -> Result<Vec<Dense>, NnError> {
             let mut crc_buf = [0u8; 4];
             r.read_exact(&mut crc_buf)?;
             let stored = u32::from_le_bytes(crc_buf);
-            let computed = crate::checksum::crc32(&payload);
+            let computed = fv_runtime::checksum::crc32(&payload);
             if stored != computed {
                 return Err(NnError::Format(format!(
                     "checksum mismatch: stored {stored:#010x}, computed {computed:#010x}"
@@ -233,53 +235,6 @@ fn read_f32s<R: Read>(r: &mut R, out: &mut [f32]) -> Result<(), NnError> {
         r.read_exact(&mut buf)?;
         *v = f32::from_le_bytes(buf);
     }
-    Ok(())
-}
-
-/// Drop guard that deletes the in-flight temp file unless disarmed after a
-/// successful rename; fires on error returns *and* on panics inside the
-/// write closure, so no exit path can leak a `*.tmp`.
-struct TmpGuard<'a> {
-    path: &'a Path,
-    armed: bool,
-}
-
-impl Drop for TmpGuard<'_> {
-    fn drop(&mut self) {
-        if self.armed {
-            std::fs::remove_file(self.path).ok();
-        }
-    }
-}
-
-/// Atomically write a file: stream through a closure into a same-directory
-/// temp file, fsync, then rename over `path`. A crash mid-write leaves at
-/// worst a stale `*.tmp` — never a torn file under the real name — and an
-/// error or panic inside the closure removes the temp file before
-/// propagating.
-pub fn write_file_atomic(
-    path: impl AsRef<Path>,
-    write: impl FnOnce(&mut BufWriter<std::fs::File>) -> Result<(), NnError>,
-) -> Result<(), NnError> {
-    let path = path.as_ref();
-    let file_name = path
-        .file_name()
-        .ok_or_else(|| NnError::Format(format!("path {} has no file name", path.display())))?;
-    let tmp = path.with_file_name(format!(
-        "{}.{}.tmp",
-        file_name.to_string_lossy(),
-        std::process::id()
-    ));
-    let mut guard = TmpGuard {
-        path: &tmp,
-        armed: true,
-    };
-    let mut w = BufWriter::new(std::fs::File::create(&tmp)?);
-    write(&mut w)?;
-    w.flush()?;
-    w.get_ref().sync_all()?;
-    std::fs::rename(&tmp, path)?;
-    guard.armed = false;
     Ok(())
 }
 

@@ -18,7 +18,7 @@
 //!    packing is bitwise-identical to per-request
 //!    [`fillvoid_core::FcnnPipeline::reconstruct`] because every query row
 //!    is an independent dot product.
-//! 4. **Admission + degradation** ([`breaker`], [`server`]) — bounded
+//! 4. **Admission + degradation** ([`Breaker`], [`server`]) — bounded
 //!    queues, per-tenant in-flight caps, per-request deadlines via
 //!    [`fv_runtime::ExecCtx`], and a circuit breaker that demotes a
 //!    failing model to classical IDW interpolation with a typed
@@ -32,10 +32,9 @@
 //! idempotent request ids answered from a short-lived server-side reply
 //! cache ([`session::ReplyCache`]).
 //!
-//! Protocol spec: DESIGN.md §14. Bench: `exp_serve` (BENCH_serve.json).
+//! Protocol spec: DESIGN.md §14. Bench: `exp serve` (BENCH_serve.json).
 
 pub mod batcher;
-pub mod breaker;
 pub mod client;
 pub mod error;
 pub mod proto;
@@ -45,7 +44,7 @@ pub mod session;
 pub mod stream;
 
 pub use batcher::{AfterFlush, BatchConfig, MicroBatcher};
-pub use breaker::{Breaker, BreakerState};
+pub use fillvoid_core::breaker::{self, Breaker, BreakerState};
 pub use client::{Client, ClientError, RetryPolicy, ServedBrick, ServedField, StreamSummary};
 pub use error::ServeError;
 pub use proto::{ErrorCode, Op, Status, VERSION_ACTIVE};

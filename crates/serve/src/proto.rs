@@ -22,7 +22,7 @@
 //! status byte distinguishes full-fidelity results from breaker-demoted
 //! [`Status::Degraded`] ones and from typed errors.
 
-use fv_field::checksum::crc32;
+use fv_runtime::checksum::crc32;
 use std::io::{Read, Write};
 
 /// Frame magic: "FVS1" (FillVoid Serve, wire format 1).

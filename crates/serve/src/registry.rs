@@ -31,8 +31,8 @@
 //! still hold it — but would break drain tracking), which also makes the
 //! budget a soft bound while drains are in flight.
 
-use crate::breaker::{Breaker, BreakerState};
 use crate::error::ServeError;
+use fillvoid_core::breaker::{Breaker, BreakerState};
 use fillvoid_core::checkpoint::CheckpointStore;
 use fillvoid_core::{metrics, FcnnPipeline};
 use fv_field::ScalarField;
@@ -233,10 +233,10 @@ impl ModelRegistry {
     }
 
     /// Configure per-model breakers (consecutive failures to trip, denied
-    /// requests per recovery probe).
+    /// requests per recovery probe; at least one).
     pub fn with_breaker(mut self, threshold: u32, probe_after: u32) -> Self {
         self.breaker_threshold = threshold;
-        self.breaker_probe_after = probe_after;
+        self.breaker_probe_after = probe_after.max(1);
         self
     }
 

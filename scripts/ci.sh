@@ -43,11 +43,11 @@ for t in 1 4; do
 done
 
 echo "=== runtime smoke (thread scaling + bitwise determinism) ==="
-# exp_runtime exits non-zero on its own when reconstructions diverge across
+# `exp runtime` exits non-zero on its own when reconstructions diverge across
 # thread counts; on top of that, gate the two workspace-layer guarantees:
 # every row bitwise-matches the 1-thread reference, and 4-thread training is
 # not slower than 1-thread (>10% tolerance for machine noise).
-cargo run --release -q -p fv-bench --bin exp_runtime > /dev/null
+cargo run --release -q -p fv-bench --bin exp -- runtime > /dev/null
 python3 - <<'EOF'
 import json, sys
 rows = json.load(open("BENCH_runtime.json"))["rows"]
@@ -71,9 +71,9 @@ for kern in portable auto; do
   FV_GEMM_KERNEL=$kern cargo test -q "${MODE[@]}" --test gemm \
     || { echo "gemm parity suite failed (FV_GEMM_KERNEL=$kern)"; exit 1; }
 done
-FV_GEMM_KERNEL=portable cargo run --release -q -p fv-bench --bin exp_runtime > /dev/null
+FV_GEMM_KERNEL=portable cargo run --release -q -p fv-bench --bin exp -- runtime > /dev/null
 mv BENCH_runtime.json BENCH_runtime_portable.json
-FV_GEMM_KERNEL=auto cargo run --release -q -p fv-bench --bin exp_runtime > /dev/null
+FV_GEMM_KERNEL=auto cargo run --release -q -p fv-bench --bin exp -- runtime > /dev/null
 python3 - <<'EOF'
 import json, sys
 p = json.load(open("BENCH_runtime_portable.json"))
@@ -110,7 +110,7 @@ echo "=== telemetry smoke (zero-cost when disabled, bitwise-identical when enabl
 # noise on shared CI machines while still catching an accidentally hot
 # always-on path (those cost multiples, not percents).
 cp BENCH_runtime.json BENCH_runtime_disabled.json
-FV_TELEMETRY=1 cargo run --release -q -p fv-bench --bin exp_runtime > /dev/null
+FV_TELEMETRY=1 cargo run --release -q -p fv-bench --bin exp -- runtime > /dev/null
 python3 - <<'EOF'
 import json, sys
 off = json.load(open("BENCH_runtime_disabled.json"))
@@ -137,13 +137,13 @@ EOF
 rm -f BENCH_runtime_disabled.json
 
 echo "=== brick resume smoke (out-of-core memory bound + crash-only recovery) ==="
-# exp_brick streams the volume through fixed-size bricks, then injects a
+# `exp brick` streams the volume through fixed-size bricks, then injects a
 # seeded mid-volume crash and resumes from the per-brick ledger. The gate
 # holds the ISSUE's acceptance bar: the streamed volume bitwise-matches the
 # whole-grid path, peak in-flight bytes stay within the configured budget,
 # and the resumed run reuses every durable brick (resumed > 0) while
 # recomputing exactly the unfinished remainder, again to identical bits.
-cargo run --release -q -p fv-bench --bin exp_brick > /dev/null
+cargo run --release -q -p fv-bench --bin exp -- brick > /dev/null
 python3 - <<'EOF'
 import json, sys
 b = json.load(open("BENCH_brick.json"))
@@ -165,7 +165,7 @@ print(f"brick smoke ok: {b['total_bricks']} bricks, inflight {b['peak_inflight_b
 EOF
 
 echo "=== serve smoke (reconstruction-as-a-service, 1 and 4 workers) ==="
-# exp_serve starts a loopback server on an ephemeral port, runs client
+# `exp serve` starts a loopback server on an ephemeral port, runs client
 # fleets at 1/4/16/64 connections, and exits non-zero on its own if any
 # served volume diverges bitwise from the in-process reconstruction or if
 # micro-batched p99 fails to beat batch-size-1 mode at 16 clients. It then
@@ -181,7 +181,7 @@ echo "=== serve smoke (reconstruction-as-a-service, 1 and 4 workers) ==="
 # bricks, and keep a second tenant's dense p99 within 3x its unloaded
 # baseline while the bulk stream runs.
 for t in 1 4; do
-  FV_THREADS=$t timeout 600 cargo run --release -q -p fv-bench --bin exp_serve > /dev/null \
+  FV_THREADS=$t timeout 600 cargo run --release -q -p fv-bench --bin exp -- serve > /dev/null \
     || { echo "serve smoke failed (FV_THREADS=$t)"; exit 1; }
   FV_T=$t python3 - <<'EOF'
 import glob, json, os, sys

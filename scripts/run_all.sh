@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
-# Regenerate every table/figure of the paper plus the extension studies.
+# Regenerate every table/figure of the paper, the ablation and extension
+# studies, and the system benches (one `exp` section each).
 #
 # Usage: scripts/run_all.sh [--tiny|--small|--medium|--full] [--seed N]
-# Output: one log per experiment under results/, reused by EXPERIMENTS.md.
+# Output: results/exp_<section>.txt per section, reused by EXPERIMENTS.md.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -13,18 +14,13 @@ mkdir -p results
 # build should not burn hours of experiment time first.
 scripts/ci.sh
 
-BINS=(
-  exp_fig06 exp_fig07 exp_fig08 exp_fig09 exp_fig10 exp_fig11 exp_fig12
-  exp_fig13 exp_fig14 exp_table1 exp_table2 exp_qualitative
-  exp_ablation_features exp_ablation_k exp_ablation_sampler
-  exp_ablation_finetune exp_ext_uncertainty exp_ext_spatial exp_serve
-)
+cargo build --release -p fv-bench --bin exp
+EXP=./target/release/exp
 
-cargo build --release -p fv-bench --bins
-
-for bin in "${BINS[@]}"; do
-  echo "=== $bin ${FLAGS[*]:-} ==="
-  ./target/release/"$bin" "${FLAGS[@]}" | tee "results/$bin.txt"
+# One list: every section the driver knows, in its documented order.
+for section in $("$EXP" --list); do
+  echo "=== exp $section ${FLAGS[*]:-} ==="
+  "$EXP" "${FLAGS[@]}" "$section" | tee "results/exp_$section.txt"
 done
 
 echo "All experiment logs written to results/"

@@ -197,7 +197,7 @@ fn interrupted_write_leaves_no_file_under_the_real_name() {
     let leftovers: Vec<_> = std::fs::read_dir(&dir)
         .unwrap()
         .filter_map(|e| e.ok())
-        .filter(|e| e.file_name().to_string_lossy().ends_with(field_io::TMP_SUFFIX))
+        .filter(|e| e.file_name().to_string_lossy().ends_with(fillvoid::runtime::fs::TMP_SUFFIX))
         .collect();
     assert!(leftovers.is_empty(), "temp files left behind: {leftovers:?}");
     std::fs::remove_file(&path).ok();
