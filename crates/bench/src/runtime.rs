@@ -26,7 +26,7 @@ use crate::{bitwise_eq, secs, ExpOpts};
 use fillvoid_core::insitu::{InSituConfig, InSituSession, SupervisionConfig};
 use fillvoid_core::pipeline::{FcnnPipeline, FineTuneSpec, ReconstructWorkspace};
 use fillvoid_core::metrics::snr_db_masked;
-use fv_linalg::{active_kernel_name, detected_kernels, force_kernel, ForcedKernel, GemmScratch};
+use fv_linalg::{active_kernel_name, detected_kernels, force_kernel, GemmScratch};
 use fv_runtime::alloc::allocation_count;
 use fv_runtime::granularity::{dispatch_stats, reset_dispatch_stats, DispatchStats};
 use fv_sampling::{FieldSampler, ImportanceSampler};
@@ -55,7 +55,8 @@ struct Row {
 }
 
 struct GemmBench {
-    forced: &'static str,
+    /// `[m, n, k]` of `[m, k] x [n, k]^T`.
+    shape: [usize; 3],
     kernel: &'static str,
     gflops: f64,
     pack_calls: u64,
@@ -63,41 +64,41 @@ struct GemmBench {
     pack_reuses: u64,
 }
 
-/// Micro-benchmark the packed-GEMM layer on the paper's forward shape
-/// class (`[batch, in] x [out, in]^T`), once per forceable kernel. The
-/// pack-buffer counters double as the reuse proof: after warm-up every
-/// call reuses the panels, so `grows` stays at 1 per shape.
+/// Micro-benchmark the packed-GEMM layer on the forward shape class
+/// (`[batch, in] x [out, in]^T`) once per detected kernel: a small
+/// 1024x64→64 product and the paper net's widest layer, 16384x512→256
+/// (one reconstruct batch). The pack-buffer counters double as the reuse
+/// proof: after warm-up every call reuses the panels, so `grows` stays at
+/// 1 per shape and kernel.
 fn bench_gemm() -> Vec<GemmBench> {
-    let (m, n, k) = (1024usize, 64usize, 64usize);
-    let a = fv_linalg::Matrix::from_fn(m, k, |r, c| ((r * 31 + c * 7) % 97) as f32 * 0.021 - 1.0);
-    let w = fv_linalg::Matrix::from_fn(n, k, |r, c| ((r * 13 + c * 5) % 89) as f32 * 0.023 - 1.0);
-    let iters = 60u64;
     let mut out = Vec::new();
-    for (label, choice) in [
-        ("portable", ForcedKernel::Portable),
-        ("native", ForcedKernel::Native),
-    ] {
-        force_kernel(Some(choice));
-        let kernel = active_kernel_name::<f32>();
-        let mut scratch = GemmScratch::default();
-        let mut c = fv_linalg::Matrix::zeros(0, 0);
-        // Warm-up sizes the pack buffers; timed calls then only reuse.
-        a.matmul_transpose_b_into_with(&w, &mut c, &mut scratch)
-            .expect("bench shapes agree");
-        let t = Instant::now();
-        for _ in 0..iters {
+    for (m, n, k, iters) in [(1024usize, 64usize, 64usize, 60u64), (16384, 256, 512, 3)] {
+        let a =
+            fv_linalg::Matrix::from_fn(m, k, |r, c| ((r * 31 + c * 7) % 97) as f32 * 0.021 - 1.0);
+        let w =
+            fv_linalg::Matrix::from_fn(n, k, |r, c| ((r * 13 + c * 5) % 89) as f32 * 0.023 - 1.0);
+        for name in detected_kernels::<f32>() {
+            force_kernel(Some(name));
+            let mut scratch = GemmScratch::default();
+            let mut c = fv_linalg::Matrix::zeros(0, 0);
+            // Warm-up sizes the pack buffers; timed calls then only reuse.
             a.matmul_transpose_b_into_with(&w, &mut c, &mut scratch)
                 .expect("bench shapes agree");
+            let t = Instant::now();
+            for _ in 0..iters {
+                a.matmul_transpose_b_into_with(&w, &mut c, &mut scratch)
+                    .expect("bench shapes agree");
+            }
+            let secs = t.elapsed().as_secs_f64();
+            out.push(GemmBench {
+                shape: [m, n, k],
+                kernel: active_kernel_name::<f32>(),
+                gflops: (2 * m * n * k) as f64 * iters as f64 / secs / 1e9,
+                pack_calls: scratch.calls(),
+                pack_grows: scratch.grows(),
+                pack_reuses: scratch.reuses(),
+            });
         }
-        let secs = t.elapsed().as_secs_f64();
-        out.push(GemmBench {
-            forced: label,
-            kernel,
-            gflops: (2 * m * n * k) as f64 * iters as f64 / secs / 1e9,
-            pack_calls: scratch.calls(),
-            pack_grows: scratch.grows(),
-            pack_reuses: scratch.reuses(),
-        });
     }
     force_kernel(None);
     out
@@ -275,13 +276,18 @@ pub fn run(opts: &ExpOpts) {
         detected_kernels::<f32>(),
     );
     println!(
-        "{:>10} {:>10} {:>10} {:>12} {:>12}",
-        "forced", "kernel", "gflops", "pack_calls", "pack_reuses"
+        "{:>16} {:>10} {:>10} {:>12} {:>12}",
+        "m x k -> n", "kernel", "gflops", "pack_calls", "pack_reuses"
     );
     for g in &gemm_rows {
+        let [m, n, k] = g.shape;
         println!(
-            "{:>10} {:>10} {:>10.2} {:>12} {:>12}",
-            g.forced, g.kernel, g.gflops, g.pack_calls, g.pack_reuses
+            "{:>16} {:>10} {:>10.2} {:>12} {:>12}",
+            format!("{m}x{k}->{n}"),
+            g.kernel,
+            g.gflops,
+            g.pack_calls,
+            g.pack_reuses
         );
     }
 
@@ -369,13 +375,13 @@ pub fn run(opts: &ExpOpts) {
         .iter()
         .map(|g| {
             format!(
-                "{{\"forced\": \"{}\", \"kernel\": \"{}\", \"gflops\": {:.3}, \"pack_calls\": {}, \"pack_grows\": {}, \"pack_reuses\": {}}}",
-                g.forced, g.kernel, g.gflops, g.pack_calls, g.pack_grows, g.pack_reuses
+                "{{\"shape\": [{}, {}, {}], \"kernel\": \"{}\", \"gflops\": {:.3}, \"pack_calls\": {}, \"pack_grows\": {}, \"pack_reuses\": {}}}",
+                g.shape[0], g.shape[1], g.shape[2], g.kernel, g.gflops, g.pack_calls, g.pack_grows, g.pack_reuses
             )
         })
         .collect();
     json.push_str(&format!(
-        "  \"gemm\": {{\"active_kernel\": \"{}\", \"detected\": [{}], \"shape\": [1024, 64, 64], \"variants\": [{}]}},\n",
+        "  \"gemm\": {{\"active_kernel\": \"{}\", \"detected\": [{}], \"variants\": [{}]}},\n",
         active_kernel_name::<f32>(),
         detected_kernels::<f32>()
             .iter()

@@ -9,6 +9,13 @@
 //! them, and applies the epilogue (plain store, or fused bias+activation)
 //! during tile write-back.
 //!
+//! B (in the hot paths, the layer weights) is packed once on the calling
+//! thread. A is packed by the row-chunk workers themselves: each worker
+//! packs only its own MR-aligned row range into its own disjoint slice of
+//! the scratch buffer and runs the microkernel over those panels straight
+//! away, while they are still in cache. Packing is therefore parallel and
+//! overlapped with the kernel, not a serial phase ahead of it.
+//!
 //! ## Determinism contract
 //!
 //! Every output element accumulates its `k` product terms in strictly
@@ -17,9 +24,9 @@
 //! contract: it does not mention tiles, panels, chunk sizes, or thread
 //! counts, so results are bitwise-identical across
 //!
-//! * microkernels (portable / AVX2 / NEON — the SIMD kernels evaluate the
-//!   same chains lane-parallel and avoid FMA precisely so they round
-//!   identically),
+//! * microkernels (portable / AVX-512 / AVX2 / NEON — the SIMD kernels
+//!   evaluate the same chains lane-parallel and avoid FMA precisely so they
+//!   round identically),
 //! * the packed path and the small-shape fallback paths,
 //! * `FV_GEMM_KERNEL` settings, and
 //! * thread widths (parallelism only ever splits output *rows*; a row's
@@ -34,9 +41,9 @@
 //!
 //! `FV_GEMM_KERNEL` selects the microkernel: `auto` (default) picks the
 //! first native kernel whose CPU check passes, falling back to `portable`;
-//! `portable` forces the scalar reference; a kernel name (`avx2`, `neon`)
-//! forces that kernel when available and silently degrades to `auto` order
-//! otherwise. Because all kernels are bitwise-identical this only ever
+//! `portable` forces the scalar reference; a kernel name (`avx512`, `avx2`,
+//! `neon`) forces that kernel when available and silently degrades to
+//! `auto` order otherwise. Because all kernels are bitwise-identical this only ever
 //! changes speed, never values — which is also why the in-process
 //! [`force_kernel`] test hook is sound.
 
@@ -48,7 +55,7 @@ mod neon;
 mod x86;
 
 use crate::scalar::Scalar;
-use fv_runtime::telemetry;
+use fv_runtime::{telemetry, SendPtr};
 use rayon::prelude::*;
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;
@@ -67,7 +74,7 @@ pub type MicroFn<T> = unsafe fn(k: usize, a: *const T, b: *const T, acc: *mut T)
 /// [`Scalar::gemm_native_kernels`] exposes the per-type table; `auto`
 /// dispatch takes the first entry whose `detect` passes.
 pub struct NativeKernel<T: 'static> {
-    /// Name matched against `FV_GEMM_KERNEL` (e.g. `avx2`, `neon`).
+    /// Name matched against `FV_GEMM_KERNEL` (e.g. `avx512`, `avx2`, `neon`).
     pub name: &'static str,
     /// Runtime CPU-capability check.
     pub detect: fn() -> bool,
@@ -80,17 +87,31 @@ pub struct NativeKernel<T: 'static> {
 pub(crate) const MAX_TILE: usize = 96;
 
 #[cfg(target_arch = "x86_64")]
-pub(crate) static F32_NATIVE: [NativeKernel<f32>; 1] = [NativeKernel {
-    name: "avx2",
-    detect: x86::have_avx2,
-    micro: x86::micro_f32,
-}];
+pub(crate) static F32_NATIVE: [NativeKernel<f32>; 2] = [
+    NativeKernel {
+        name: "avx512",
+        detect: x86::have_avx512,
+        micro: x86::avx512_f32,
+    },
+    NativeKernel {
+        name: "avx2",
+        detect: x86::have_avx2,
+        micro: x86::avx2_f32,
+    },
+];
 #[cfg(target_arch = "x86_64")]
-pub(crate) static F64_NATIVE: [NativeKernel<f64>; 1] = [NativeKernel {
-    name: "avx2",
-    detect: x86::have_avx2,
-    micro: x86::micro_f64,
-}];
+pub(crate) static F64_NATIVE: [NativeKernel<f64>; 2] = [
+    NativeKernel {
+        name: "avx512",
+        detect: x86::have_avx512,
+        micro: x86::avx512_f64,
+    },
+    NativeKernel {
+        name: "avx2",
+        detect: x86::have_avx2,
+        micro: x86::avx2_f64,
+    },
+];
 
 #[cfg(target_arch = "aarch64")]
 pub(crate) static F32_NATIVE: [NativeKernel<f32>; 1] = [NativeKernel {
@@ -121,63 +142,70 @@ fn env_choice() -> &'static str {
     })
 }
 
+/// Every name `FV_GEMM_KERNEL` and [`force_kernel`] accept on this
+/// target: `portable`, `auto`, then each native kernel's name (the f32 and
+/// f64 tables list the same names in the same order).
+fn kernel_choices() -> impl Iterator<Item = &'static str> {
+    ["portable", "auto"]
+        .into_iter()
+        .chain(F32_NATIVE.iter().map(|nk| nk.name))
+}
+
 /// In-process kernel override for tests and benchmarks (environment
-/// variables are awkward to vary within one process). `None` restores
-/// `FV_GEMM_KERNEL`/auto behavior.
+/// variables are awkward to vary within one process). `choice` takes the
+/// `FV_GEMM_KERNEL` names with the same meaning — `"portable"`, `"auto"`,
+/// or a native kernel's name, which degrades to `auto` order on a CPU
+/// without it. `None` restores `FV_GEMM_KERNEL`/auto behavior.
 ///
 /// Sound to flip at any time from any thread *because* all kernels are
 /// bitwise-identical: concurrent GEMMs may pick different kernels but
 /// never different values.
-pub fn force_kernel(choice: Option<ForcedKernel>) {
-    let v = match choice {
+///
+/// # Panics
+///
+/// On a name this target has no kernel for (a typo in a test would
+/// otherwise silently measure `auto`).
+pub fn force_kernel(choice: Option<&'static str>) {
+    let code = match choice {
         None => 0,
-        Some(ForcedKernel::Portable) => 1,
-        Some(ForcedKernel::Native) => 2,
+        Some(name) => {
+            let index = kernel_choices().position(|c| c == name).unwrap_or_else(|| {
+                panic!(
+                    "force_kernel: unknown kernel {name:?}; expected one of {:?}",
+                    kernel_choices().collect::<Vec<_>>()
+                )
+            });
+            index + 1
+        }
     };
-    FORCE.store(v, Ordering::SeqCst);
+    FORCE.store(code as u8, Ordering::SeqCst);
 }
 
-/// Argument to [`force_kernel`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ForcedKernel {
-    /// The scalar reference kernel.
-    Portable,
-    /// The first available native kernel (falls back to portable when the
-    /// target has none).
-    Native,
-}
-
+/// `0` = no override, else `1 +` the index into [`kernel_choices`].
 static FORCE: AtomicU8 = AtomicU8::new(0);
 
-fn first_native<T: Scalar>() -> Option<(&'static str, MicroFn<T>)> {
-    T::gemm_native_kernels()
-        .iter()
-        .find(|nk| (nk.detect)())
-        .map(|nk| (nk.name, nk.micro))
-}
-
-/// Resolve the active `(name, microkernel)` pair for `T`.
+/// Resolve the active `(name, microkernel)` pair for `T`: the forced
+/// choice if any, else `FV_GEMM_KERNEL`.
 fn select<T: Scalar>() -> (&'static str, MicroFn<T>) {
+    let choice = match FORCE.load(Ordering::SeqCst) {
+        0 => env_choice(),
+        code => kernel_choices().nth(code as usize - 1).unwrap_or("auto"),
+    };
     let portable: (&'static str, MicroFn<T>) = ("portable", portable::micro::<T>);
-    match FORCE.load(Ordering::SeqCst) {
-        1 => return portable,
-        2 => return first_native::<T>().unwrap_or(portable),
-        _ => {}
+    if choice == "portable" {
+        return portable;
     }
-    match env_choice() {
-        "portable" => portable,
-        "" | "auto" => first_native::<T>().unwrap_or(portable),
-        name => T::gemm_native_kernels()
-            .iter()
-            .find(|nk| nk.name == name && (nk.detect)())
-            .map(|nk| (nk.name, nk.micro))
-            .unwrap_or_else(|| first_native::<T>().unwrap_or(portable)),
-    }
+    let natives = T::gemm_native_kernels();
+    natives
+        .iter()
+        .find(|nk| nk.name == choice && (nk.detect)())
+        .or_else(|| natives.iter().find(|nk| (nk.detect)()))
+        .map_or(portable, |nk| (nk.name, nk.micro))
 }
 
 /// Name of the kernel the dispatcher would run for `T` right now
-/// (`"portable"`, `"avx2"`, `"neon"`). Benchmarks report this as the
-/// chosen ISA.
+/// (`"portable"`, `"avx512"`, `"avx2"`, `"neon"`). Benchmarks report this
+/// as the chosen ISA.
 pub fn active_kernel_name<T: Scalar>() -> &'static str {
     select::<T>().0
 }
@@ -196,8 +224,9 @@ pub fn detected_kernels<T: Scalar>() -> Vec<&'static str> {
 
 /// Reusable pack-buffer workspace. Hot-path callers (the fv-nn
 /// workspaces) hold one per training/inference loop so steady-state GEMMs
-/// allocate nothing: `pack_a`/`pack_b` are `resize`d each call but only
-/// grow capacity the first time a shape is seen.
+/// allocate nothing: `pack_a`/`pack_b` only ever grow, the first time a
+/// larger shape is seen, and are otherwise packed in place — a smaller
+/// product uses a prefix and leaves the rest untouched.
 #[derive(Debug, Clone, Default)]
 pub struct GemmScratch<T: Scalar> {
     pack_a: Vec<T>,
@@ -359,27 +388,53 @@ fn run_packed<T: Scalar, F: Fn(T) -> T + Sync>(
     let (_name, micro) = select::<T>();
 
     scratch.calls += 1;
+    let need_a = m.div_ceil(mr) * mr * k;
+    let need_b = n.div_ceil(nr) * nr * k;
+    if need_a > scratch.pack_a.capacity() || need_b > scratch.pack_b.capacity() {
+        scratch.grows += 1;
+    }
+    grow_to(&mut scratch.pack_a, need_a);
+    grow_to(&mut scratch.pack_b, need_b);
     {
         let _pack_span = TM_PACK.span();
-        let need_a = m.div_ceil(mr) * mr * k;
-        let need_b = n.div_ceil(nr) * nr * k;
-        if need_a > scratch.pack_a.capacity() || need_b > scratch.pack_b.capacity() {
-            scratch.grows += 1;
-        }
-        pack::pack_a(&mut scratch.pack_a, a, m, k, mr);
-        pack::pack_b(&mut scratch.pack_b, b, n, k, nr);
-        TM_PACK_BYTES.add(((need_a + need_b) * std::mem::size_of::<T>()) as u64);
+        pack::pack_b(&mut scratch.pack_b[..need_b], b, n, k, nr);
+        TM_PACK_BYTES.add(pack_bytes::<T>(need_b));
     }
 
     let _kernel_span = TM_KERNEL.span();
-    let pa: &[T] = &scratch.pack_a;
-    let pb: &[T] = &scratch.pack_b;
+    let pb: &[T] = &scratch.pack_b[..need_b];
+    let pa = SendPtr(scratch.pack_a.as_mut_ptr());
     let rows_chunk = fv_runtime::granularity::panel_rows(m, mr);
     let block = |bi: usize, cb: &mut [T], ab: Option<&mut [T]>| {
-        let first_panel = bi * rows_chunk / mr;
-        compute_block(cb, ab, first_panel, pa, pb, n, k, mr, nr, micro, fuse);
+        let r0 = bi * rows_chunk;
+        let rows = cb.len() / n;
+        let len = rows.div_ceil(mr) * mr * k;
+        assert!(r0 * k + len <= need_a, "row chunk outside the packed A buffer");
+        // SAFETY: `rows_chunk` is a multiple of MR, so chunk `bi` owns
+        // exactly the A panels of rows `r0..r0 + rows` — offsets
+        // `r0 * k .. r0 * k + len`, disjoint from every other chunk's and
+        // within the `need_a` elements `grow_to` sized. Nothing else
+        // touches `pack_a` until `drive` returns.
+        let pa_chunk = unsafe { std::slice::from_raw_parts_mut(pa.get().add(r0 * k), len) };
+        {
+            let _pack_span = TM_PACK.span();
+            pack::pack_a(pa_chunk, a, r0, rows, k, mr);
+            TM_PACK_BYTES.add(pack_bytes::<T>(len));
+        }
+        compute_block(cb, ab, pa_chunk, pb, n, k, mr, nr, micro, fuse);
     };
     drive(c, aux, n, rows_chunk, parallel, &block);
+}
+
+/// Grow `buf` to at least `len` elements; never shrinks or rewrites it.
+fn grow_to<T: Scalar>(buf: &mut Vec<T>, len: usize) {
+    if buf.len() < len {
+        buf.resize(len, T::ZERO);
+    }
+}
+
+fn pack_bytes<T>(elems: usize) -> u64 {
+    (elems * std::mem::size_of::<T>()) as u64
 }
 
 /// A row-chunk worker: `(chunk_index, c_chunk, aux_chunk)`.
@@ -420,12 +475,12 @@ fn drive<T: Scalar>(
 }
 
 /// Compute one row-chunk of C from packed panels: loop over the chunk's
-/// A panels x all B panels, microkernel per tile, epilogue at write-back.
+/// A panels (`pa`, the chunk's own) x all B panels, microkernel per tile,
+/// epilogue at write-back.
 #[allow(clippy::too_many_arguments)]
 fn compute_block<T: Scalar, F: Fn(T) -> T>(
     cb: &mut [T],
     mut ab: Option<&mut [T]>,
-    first_panel: usize,
     pa: &[T],
     pb: &[T],
     n: usize,
@@ -441,7 +496,7 @@ fn compute_block<T: Scalar, F: Fn(T) -> T>(
     for lp in 0..rows_in.div_ceil(mr) {
         let i0 = lp * mr;
         let mv = mr.min(rows_in - i0);
-        let pa_off = (first_panel + lp) * mr * k;
+        let pa_off = lp * mr * k;
         for u in 0..col_panels {
             let j0 = u * nr;
             let nv = nr.min(n - j0);
@@ -610,14 +665,23 @@ fn epilogue_rows<T: Scalar, F: Fn(T) -> T>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Mutex;
+
+    /// `force_kernel` is process-global: serialize the tests that flip it
+    /// so a failure message names the kernel that actually ran.
+    static FORCE_LOCK: Mutex<()> = Mutex::new(());
+
+    fn force_lock() -> std::sync::MutexGuard<'static, ()> {
+        FORCE_LOCK.lock().unwrap_or_else(|e| e.into_inner())
+    }
 
     /// Naive reference: single chain per element, ascending p — the
-    /// canonical order.
-    fn reference(m: usize, n: usize, k: usize, av: &[f32], bv: &[f32]) -> Vec<f32> {
-        let mut c = vec![0.0f32; m * n];
+    /// canonical order. `a` is logical `m x k` row-major, `b` `k x n`.
+    fn reference<T: Scalar>(m: usize, n: usize, k: usize, av: &[T], bv: &[T]) -> Vec<T> {
+        let mut c = vec![T::ZERO; m * n];
         for i in 0..m {
             for j in 0..n {
-                let mut s = 0.0f32;
+                let mut s = T::ZERO;
                 for p in 0..k {
                     s += av[i * k + p] * bv[p * n + j];
                 }
@@ -627,61 +691,145 @@ mod tests {
         c
     }
 
-    fn fill(len: usize, seed: u32) -> Vec<f32> {
+    fn fill<T: Scalar>(len: usize, seed: u32) -> Vec<T> {
         // Deterministic, fully exercising mantissa bits.
         let mut state = seed.wrapping_mul(2654435761).wrapping_add(1);
         (0..len)
             .map(|_| {
                 state = state.wrapping_mul(1664525).wrapping_add(1013904223);
-                ((state >> 8) as f32 / (1 << 24) as f32) * 2.0 - 1.0
+                T::from_f64(((state >> 8) as f64 / (1 << 24) as f64) * 2.0 - 1.0)
             })
             .collect()
     }
 
-    #[test]
-    fn packed_matches_reference_bitwise_for_every_kernel() {
+    /// Store logical `rows x cols` data transposed (`cols x rows`).
+    fn transpose_store<T: Scalar>(rows: usize, cols: usize, v: &[T]) -> Vec<T> {
+        let mut t = vec![T::ZERO; v.len()];
+        for r in 0..rows {
+            for c in 0..cols {
+                t[c * rows + r] = v[r * cols + c];
+            }
+        }
+        t
+    }
+
+    fn bits<T: Scalar>(v: &[T]) -> Vec<u64> {
+        v.iter().map(|x| x.to_f64().to_bits()).collect()
+    }
+
+    /// `C = A * B` through the packed driver on a pool of `width`
+    /// workers, with A given as stored (`trans` = stored `k x m`).
+    #[allow(clippy::too_many_arguments)]
+    fn packed<T: Scalar>(
+        m: usize,
+        n: usize,
+        k: usize,
+        a: &[T],
+        trans_a: bool,
+        b: &[T],
+        scratch: &mut GemmScratch<T>,
+        width: usize,
+    ) -> Vec<T> {
+        assert!(use_packed(m, n, k));
+        let a = if trans_a {
+            Operand::transposed(a, m)
+        } else {
+            Operand::normal(a, k)
+        };
+        let mut c = vec![T::from_f64(f64::NAN); m * n];
+        fv_runtime::Pool::new(width)
+            .install(|| gemm(m, n, k, a, Operand::normal(b, n), &mut c, scratch, true));
+        c
+    }
+
+    fn every_kernel_matches_reference<T: Scalar>() {
+        let _g = force_lock();
         let (m, n, k) = (13, 21, 17);
-        let av = fill(m * k, 1);
-        let bv = fill(k * n, 2);
-        let want = reference(m, n, k, &av, &bv);
-        for forced in [ForcedKernel::Portable, ForcedKernel::Native] {
-            force_kernel(Some(forced));
-            let mut c = vec![f32::NAN; m * n];
-            let mut scratch = GemmScratch::default();
-            gemm(
-                m,
-                n,
-                k,
-                Operand::normal(&av, k),
-                Operand::normal(&bv, n),
-                &mut c,
-                &mut scratch,
-                false,
-            );
-            assert_eq!(c, want, "kernel {forced:?} diverged from canonical order");
+        let av = fill::<T>(m * k, 1);
+        let bv = fill::<T>(k * n, 2);
+        let want = bits(&reference(m, n, k, &av, &bv));
+        for name in detected_kernels::<T>() {
+            force_kernel(Some(name));
+            assert_eq!(active_kernel_name::<T>(), name);
+            for width in [1, 4] {
+                let mut scratch = GemmScratch::default();
+                let got = packed(m, n, k, &av, false, &bv, &mut scratch, width);
+                assert_eq!(bits(&got), want, "kernel {name} width {width} diverged");
+            }
         }
         force_kernel(None);
+    }
+
+    #[test]
+    fn packed_matches_reference_bitwise_for_every_kernel() {
+        every_kernel_matches_reference::<f32>();
+        every_kernel_matches_reference::<f64>();
+    }
+
+    /// A ragged product (`m % MR != 0`) packed into a scratch that a larger
+    /// shape already filled with NaN: stale values must neither reach the
+    /// output nor survive in the ragged panel's padding lanes — for the
+    /// normal operand and for the transposed one (the training `dW`
+    /// product).
+    fn ragged_m_after_larger_shape<T: Scalar>() {
+        let _g = force_lock();
+        let (m, n, k) = (13, 21, 17);
+        let mr = T::GEMM_MR;
+        assert_ne!(m % mr, 0);
+        let av = fill::<T>(m * k, 7);
+        let at = transpose_store(m, k, &av);
+        let bv = fill::<T>(k * n, 8);
+        let want = bits(&reference(m, n, k, &av, &bv));
+        let (big_m, big_n, big_k) = (50, 40, 30);
+        let poison = vec![T::from_f64(f64::NAN); big_m * big_k];
+        let big_b = fill::<T>(big_k * big_n, 9);
+        for name in detected_kernels::<T>() {
+            force_kernel(Some(name));
+            for trans_a in [false, true] {
+                for width in [1, 4] {
+                    let mut scratch = GemmScratch::default();
+                    packed(
+                        big_m,
+                        big_n,
+                        big_k,
+                        &poison,
+                        false,
+                        &big_b,
+                        &mut scratch,
+                        width,
+                    );
+                    let a = if trans_a { &at } else { &av };
+                    let got = packed(m, n, k, a, trans_a, &bv, &mut scratch, width);
+                    assert_eq!(
+                        bits(&got),
+                        want,
+                        "kernel {name} trans_a {trans_a} width {width}: stale scratch leaked"
+                    );
+                    let last = (m.div_ceil(mr) - 1) * mr * k;
+                    for step in scratch.pack_a[last..last + mr * k].chunks_exact(mr) {
+                        assert!(step[m % mr..].iter().all(|&v| v == T::ZERO));
+                    }
+                    assert_eq!(scratch.grows(), 1, "the smaller shape reuses the buffers");
+                }
+            }
+        }
+        force_kernel(None);
+    }
+
+    #[test]
+    fn ragged_m_in_a_reused_scratch_matches_reference_bitwise() {
+        ragged_m_after_larger_shape::<f32>();
+        ragged_m_after_larger_shape::<f64>();
     }
 
     #[test]
     fn fallback_paths_match_packed_bitwise() {
         // A shape the packed gate accepts...
         let (m, n, k) = (16, 32, 16);
-        let av = fill(m * k, 3);
-        let bv = fill(k * n, 4);
-        assert!(use_packed(m, n, k));
-        let mut packed = vec![0.0f32; m * n];
+        let av = fill::<f32>(m * k, 3);
+        let bv = fill::<f32>(k * n, 4);
         let mut scratch = GemmScratch::default();
-        gemm(
-            m,
-            n,
-            k,
-            Operand::normal(&av, k),
-            Operand::normal(&bv, n),
-            &mut packed,
-            &mut scratch,
-            false,
-        );
+        let packed = packed(m, n, k, &av, false, &bv, &mut scratch, 1);
         // ...computed again by the fallback path directly.
         let mut fb = vec![0.0f32; m * n];
         run_fallback::<f32, fn(f32) -> f32>(
@@ -701,22 +849,11 @@ mod tests {
     #[test]
     fn scratch_reuse_counts_grows_once_per_shape() {
         let (m, n, k) = (16, 32, 16);
-        assert!(use_packed(m, n, k));
-        let av = fill(m * k, 5);
-        let bv = fill(k * n, 6);
-        let mut c = vec![0.0f32; m * n];
+        let av = fill::<f32>(m * k, 5);
+        let bv = fill::<f32>(k * n, 6);
         let mut scratch = GemmScratch::default();
         for _ in 0..5 {
-            gemm(
-                m,
-                n,
-                k,
-                Operand::normal(&av, k),
-                Operand::normal(&bv, n),
-                &mut c,
-                &mut scratch,
-                false,
-            );
+            packed(m, n, k, &av, false, &bv, &mut scratch, 1);
         }
         assert_eq!(scratch.calls(), 5);
         assert_eq!(scratch.grows(), 1);
@@ -730,5 +867,13 @@ mod tests {
         let detected = detected_kernels::<f32>();
         assert_eq!(*detected.last().unwrap(), "portable");
         assert!(detected.contains(&name));
+        // Both scalar types list the same kernels, in the same order.
+        assert_eq!(detected, detected_kernels::<f64>());
+    }
+
+    #[test]
+    #[should_panic(expected = "unknown kernel")]
+    fn forcing_an_unknown_kernel_name_panics() {
+        force_kernel(Some("avx3"));
     }
 }

@@ -60,14 +60,16 @@ if t[4] > 1.10 * t[1]:
 print(f"runtime smoke ok: train 1T={t[1]:.3f}s 4T={t[4]:.3f}s, all rows bitwise-identical")
 EOF
 
-echo "=== gemm kernel stage (microkernel parity, portable vs auto dispatch) ==="
+echo "=== gemm kernel stage (microkernel parity, every FV_GEMM_KERNEL setting) ==="
 # The packed-GEMM layer promises bitwise-identical products no matter which
 # microkernel dispatch picks (DESIGN.md §15). The parity suite pins every
-# product variant against a canonical-order reference under both kernels
-# in-process; on top of that, run the whole training + reconstruction
-# experiment once per FV_GEMM_KERNEL setting and require identical SNR and
-# an identical reconstruction fingerprint across the two processes.
-for kern in portable auto; do
+# product variant against a canonical-order reference under every detected
+# kernel in-process, and runs once per FV_GEMM_KERNEL setting (a kernel
+# this CPU lacks degrades to auto); on top of that, run the whole
+# training + reconstruction experiment once per setting and require
+# identical SNR and an identical reconstruction fingerprint across the
+# processes.
+for kern in portable avx2 avx512 auto; do
   FV_GEMM_KERNEL=$kern cargo test -q "${MODE[@]}" --test gemm \
     || { echo "gemm parity suite failed (FV_GEMM_KERNEL=$kern)"; exit 1; }
 done
@@ -98,7 +100,26 @@ print(
     + ", SNR + fingerprint identical across kernels"
 )
 EOF
-rm -f BENCH_runtime_portable.json
+mv BENCH_runtime.json BENCH_runtime_auto.json
+for kern in avx2 avx512; do
+  FV_GEMM_KERNEL=$kern cargo run --release -q -p fv-bench --bin exp -- runtime > /dev/null
+  mv BENCH_runtime.json "BENCH_runtime_$kern.json"
+done
+python3 - <<'EOF'
+import json, sys
+p = json.load(open("BENCH_runtime_portable.json"))
+for kern in ("avx2", "avx512"):
+    k = json.load(open(f"BENCH_runtime_{kern}.json"))
+    for rp, rk in zip(p["rows"], k["rows"]):
+        if rp["snr_db"] != rk["snr_db"] or rp["recon_fnv"] != rk["recon_fnv"] or not rk["bitwise_match"]:
+            sys.exit(
+                f"gemm stage: portable vs {kern} diverged at threads={rp['threads']}: "
+                f"snr {rp['snr_db']} vs {rk['snr_db']}, fnv {rp['recon_fnv']} vs {rk['recon_fnv']}"
+            )
+print("gemm stage ok: FV_GEMM_KERNEL=avx2 and avx512 match portable's SNR + fingerprint")
+EOF
+mv BENCH_runtime_auto.json BENCH_runtime.json
+rm -f BENCH_runtime_portable.json BENCH_runtime_avx2.json BENCH_runtime_avx512.json
 
 echo "=== telemetry smoke (zero-cost when disabled, bitwise-identical when enabled) ==="
 # Re-run the runtime experiment with FV_TELEMETRY=1 and hold the

@@ -7,12 +7,13 @@
 //! reference, over adversarial shapes (single row/column, empty reduction,
 //! tall/skinny, dimensions that are not a multiple of any tile size) for
 //! every product variant (`A*B`, `A*B^T`, `A^T*B`), for both scalar types,
-//! under both the portable and the native kernel, at pool widths 1 and 4.
-//! `scripts/ci.sh` additionally re-runs the whole suite under
-//! `FV_GEMM_KERNEL=portable` and `FV_THREADS=4`, covering the env-driven
-//! dispatch path on top of the in-process `force_kernel` hook used here.
+//! under every kernel this host detects (portable, AVX2, AVX-512, NEON), at
+//! pool widths 1 and 4. `scripts/ci.sh` additionally re-runs the whole
+//! suite once per `FV_GEMM_KERNEL` setting and at `FV_THREADS=4`, covering
+//! the env-driven dispatch path on top of the in-process `force_kernel`
+//! hook used here.
 
-use fillvoid::linalg::{force_kernel, ForcedKernel, GemmScratch, Matrix};
+use fillvoid::linalg::{detected_kernels, force_kernel, GemmScratch, Matrix};
 use proptest::prelude::*;
 use std::sync::Mutex;
 
@@ -138,7 +139,7 @@ macro_rules! parity_suite {
                     let b = fill(k * n, (m + n * 13 + k * 3) as u32 ^ 0x5eed);
                     let want = bits(&reference(m, n, k, &a, &b));
                     for variant in ["matmul", "matmul_transpose_b", "transpose_a_matmul"] {
-                        for forced in [ForcedKernel::Portable, ForcedKernel::Native] {
+                        for forced in detected_kernels::<S>() {
                             force_kernel(Some(forced));
                             for width in [1usize, 4] {
                                 let pool = fv_runtime::Pool::new(width);
@@ -147,7 +148,7 @@ macro_rules! parity_suite {
                                 });
                                 assert_eq!(
                                     got, want,
-                                    "{variant} {m}x{n}x{k} {forced:?} width {width} \
+                                    "{variant} {m}x{n}x{k} {forced} width {width} \
                                      diverged from canonical order"
                                 );
                             }
@@ -179,7 +180,7 @@ macro_rules! parity_suite {
                     }
                     let lhs = Matrix::from_vec(m, k, a.clone()).unwrap();
                     let rhs = Matrix::from_vec(n, k, w.clone()).unwrap();
-                    for forced in [ForcedKernel::Portable, ForcedKernel::Native] {
+                    for forced in detected_kernels::<S>() {
                         force_kernel(Some(forced));
                         let mut scratch = GemmScratch::default();
                         // Training form: pre and activation split out.
@@ -194,8 +195,8 @@ macro_rules! parity_suite {
                             &mut scratch,
                         )
                         .unwrap();
-                        assert_eq!(bits(pre.as_slice()), bits(&want_pre), "{forced:?} pre");
-                        assert_eq!(bits(out.as_slice()), bits(&want_act), "{forced:?} act");
+                        assert_eq!(bits(pre.as_slice()), bits(&want_pre), "{forced} pre");
+                        assert_eq!(bits(out.as_slice()), bits(&want_act), "{forced} act");
                         // Inference form: activation only, written directly.
                         let mut direct = Matrix::zeros(0, 0);
                         lhs.matmul_bias_act_into_with(
@@ -210,7 +211,7 @@ macro_rules! parity_suite {
                         assert_eq!(
                             bits(direct.as_slice()),
                             bits(&want_act),
-                            "{forced:?} fused inference"
+                            "{forced} fused inference"
                         );
                     }
                 }
@@ -243,9 +244,10 @@ fn matvec_into_reuses_buffer_and_matches_matvec() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Random shapes: the portable and native kernels agree bitwise on all
-    /// three product variants (this is the cross-kernel half of the
-    /// contract; the fixed SHAPES table pins both against the reference).
+    /// Random shapes: every detected kernel agrees bitwise with the
+    /// portable one on all three product variants (this is the cross-kernel
+    /// half of the contract; the fixed SHAPES table pins each against the
+    /// reference).
     #[test]
     fn random_shapes_agree_across_kernels(
         m in 0usize..34,
@@ -265,7 +267,7 @@ proptest! {
         let lhs = Matrix::from_vec(m, k, a_logical).unwrap();
         let rhs_nk = Matrix::from_vec(n, k, b_stored).unwrap(); // for A * B^T
         let rhs_kn = rhs_nk.transpose(); // k x n, for A * B and (A^T)^T * B
-        let run_all = |forced: ForcedKernel| -> Vec<u32> {
+        let run_all = |forced: &'static str| -> Vec<u32> {
             force_kernel(Some(forced));
             let mut scratch = GemmScratch::default();
             let mut bits = Vec::new();
@@ -278,9 +280,11 @@ proptest! {
             bits.extend(out.as_slice().iter().map(|v| v.to_bits()));
             bits
         };
-        let portable = run_all(ForcedKernel::Portable);
-        let native = run_all(ForcedKernel::Native);
+        let portable = run_all("portable");
+        for forced in detected_kernels::<f32>() {
+            let native = run_all(forced);
+            prop_assert_eq!(&portable, &native, "kernel {}", forced);
+        }
         force_kernel(None);
-        prop_assert_eq!(portable, native);
     }
 }
